@@ -162,6 +162,11 @@ type Message struct {
 // Any matches any source or tag in Recv/TryRecv.
 const Any = -1
 
+// Matches reports whether m passes a (src, tag) receive filter.
+func (m Message) Matches(src, tag int) bool {
+	return (src == Any || m.Src == src) && (tag == Any || m.Tag == tag)
+}
+
 // Cluster is a set of simulated machines wired to a network model.
 type Cluster struct {
 	kernel *simtime.Kernel
@@ -355,10 +360,6 @@ func (c *Cluster) Run() error { return c.kernel.Run() }
 // filter describes what a parked receiver is waiting for.
 type filter struct {
 	src, tag int
-}
-
-func (f filter) matches(m Message) bool {
-	return (f.src == Any || m.Src == f.src) && (f.tag == Any || m.Tag == f.tag)
 }
 
 // pendingMsg is one unacknowledged reliable-layer transmission.
@@ -761,7 +762,7 @@ func (p *Proc) deliver(m Message) {
 	if len(p.mbox) > p.maxQueue {
 		p.maxQueue = len(p.mbox)
 	}
-	if p.want != nil && p.want.matches(m) {
+	if p.want != nil && m.Matches(p.want.src, p.want.tag) {
 		p.want = nil
 		p.c.kernel.Unblock(p.sp)
 	}
@@ -771,9 +772,8 @@ func (p *Proc) deliver(m Message) {
 // Use Any for either field to match anything.
 func (p *Proc) TryRecv(src, tag int) (Message, bool) {
 	p.maybeCrash()
-	f := filter{src: src, tag: tag}
 	for i, m := range p.mbox {
-		if f.matches(m) {
+		if m.Matches(src, tag) {
 			p.mbox = append(p.mbox[:i], p.mbox[i+1:]...)
 			p.msgsRecvd++
 			return m, true

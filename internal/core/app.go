@@ -4,7 +4,7 @@ package core
 // provide to run under the speculative engine, plus the optional extensions
 // (publishing, neighbor restriction, incremental correction, convergence
 // stopping, domain-specific speculation) an app may implement to specialize
-// the default policies.
+// how the engine speculates, repairs and terminates.
 
 // CheckResult reports the outcome of validating one speculated message.
 type CheckResult struct {
@@ -81,13 +81,13 @@ type Neighbors interface {
 // values incrementally given the prediction that was used and the actual
 // message (e.g. N-body subtracts the speculated pair forces and adds the
 // actual ones). Correct must return values identical to recomputing with
-// the corrected view; the engine still charges RepairOps. The default
-// RepairPolicy folds Correct over every failed peer.
+// the corrected view; the engine still charges RepairOps. The engine folds
+// Correct over every failed peer.
 type Corrector interface {
 	// Correct returns the fixed X_j(t+1). computed is the speculatively
 	// computed local result; local is X_j(t); pred and act are peer k's
 	// speculated and actual iteration-t payloads. The result is on loan
-	// under Compute's rule. When the policy folds Correct over several
+	// under Compute's rule. When the engine folds Correct over several
 	// peers, computed is the previous call's result, so Correct must give
 	// the right answer when its output buffer aliases computed.
 	Correct(computed, local []float64, peer int, pred, act []float64, t int) []float64
@@ -114,8 +114,8 @@ type Stopper interface {
 // snapshots of the peer's partition, newest first, and is only valid for
 // the duration of the call; steps is how many iterations past hist[0] to
 // extrapolate. It returns the prediction and the operation cost charged to
-// the clock. The default SpecPolicy routes through Speculate when the App
-// implements it, falling back to Config.Predictor otherwise. Unlike
+// the clock. The engine routes through Speculate when the App implements
+// it, falling back to Config.Predictor otherwise. Unlike
 // Compute's result, the prediction is not on loan: the engine keeps it in
 // its prediction lane until the iteration is validated, so it must be a
 // fresh slice the app never touches again.

@@ -62,9 +62,17 @@ func (ph *phantom) Now() float64                         { return 0 }
 func (ph *phantom) Compute(ops float64, p cluster.Phase) {}
 func (ph *phantom) Send(dst, tag, iter int, d []float64) {}
 func (ph *phantom) PhaseTime(p cluster.Phase) float64    { return 0 }
+func (ph *phantom) PeerDown(int) bool                    { return false }
+func (ph *phantom) Epoch() int                           { return 0 }
+func (ph *phantom) NetStats() cluster.NetStats           { return cluster.NetStats{} }
+func (ph *phantom) Note(string)                          {}
 
 func (ph *phantom) TryRecv(src, tag int) (cluster.Message, bool) {
 	return cluster.Message{}, false
+}
+
+func (ph *phantom) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
+	return ph.Recv(src, tag), true
 }
 
 func (ph *phantom) Recv(src, tag int) cluster.Message {
@@ -156,10 +164,16 @@ func engineMallocs(t *testing.T, iters int) uint64 {
 // run induced.
 func appMallocs(t testing.TB, np, n int, cfg Config, app App) uint64 {
 	t.Helper()
-	ph := newPhantom(np, n)
+	return transportMallocs(t, newPhantom(np, n), cfg, app)
+}
+
+// transportMallocs runs app on transport p and returns the process-wide
+// malloc count the run induced.
+func transportMallocs(t testing.TB, p Transport, cfg Config, app App) uint64 {
+	t.Helper()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	if _, err := Run(ph, app, cfg); err != nil {
+	if _, err := Run(p, app, cfg); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&m1)
@@ -186,6 +200,37 @@ func TestSteadyStateZeroAlloc(t *testing.T) {
 	if !ok {
 		t.Errorf("steady state allocates: %d mallocs over 200 iters vs %d over 2000 (want equal)",
 			short, long)
+	}
+}
+
+// sharedPhantom is the phantom with zero-copy sends — the path every real
+// backend runs, where the engine clones each broadcast payload once and
+// hands that one copy to every peer.
+type sharedPhantom struct{ *phantom }
+
+func (sharedPhantom) SendShared(dst, tag, iter int, data []float64) {}
+
+// TestSharedSendOneAllocPerIteration pins the cost of the shared-send path:
+// exactly one malloc per iteration (the broadcast clone) on top of the
+// zero-allocation engine, so 1800 extra iterations cost 1800 extra mallocs.
+func TestSharedSendOneAllocPerIteration(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; exact malloc counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	run := func(iters int) uint64 {
+		return transportMallocs(t, sharedPhantom{newPhantom(4, 64)}, Config{FW: 2, MaxIter: iters}, newBenchApp(64))
+	}
+	const short, long = 200, 2000
+	ok := false
+	var a, b uint64
+	for try := 0; try < 3 && !ok; try++ {
+		a, b = run(short), run(long)
+		ok = b == a+(long-short)
+	}
+	if !ok {
+		t.Errorf("shared-send path: %d mallocs over %d iters vs %d over %d (want exactly %d more)",
+			a, short, b, long, long-short)
 	}
 }
 

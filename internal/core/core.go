@@ -21,10 +21,10 @@
 //     values (charging the app-defined repair cost), and cascades the
 //     recomputation through any later speculatively computed iterations.
 //
-// The package is layered (see DESIGN.md §8): this file is the iteration
-// state machine; the open decisions live behind the SpecPolicy/CheckPolicy/
-// RepairPolicy interfaces (policy.go, defaults reproducing the seeded
-// behavior byte-for-byte); every payload lives in the pooled, ring-indexed
+// The package is layered (see DESIGN.md §8): this file is the transport
+// contract and the iteration state machine, including the three decisions
+// the paper leaves open (what to predict, how to check a prediction, how
+// to repair a bad one); every payload lives in the pooled, ring-indexed
 // value plane (store.go, pool.go); the application contract is app.go; the
 // crash-recovery protocol is recover.go.
 package core
@@ -47,69 +47,86 @@ const (
 	RejoinAckTag = 3 // response: Iter = responder frontier, Data[0] = oldest re-sendable iter
 )
 
-// Transport is the minimal subset of the cluster.Transport contract the
-// engine needs from an execution substrate. The simulated cluster's
-// *cluster.Proc implements it against virtual time; the realtime package
-// implements it over goroutines and channels; the distnet package over OS
-// processes and TCP sockets — all against the same full contract (see the
-// assertion below). Compute charges work to the substrate's clock — a no-op
-// for wall-clock substrates, where the work happens inside the app itself.
+// Transport is the contract an execution substrate offers the engine:
+// identity, clocks, work charging, point-to-point sends, the three receive
+// flavours (non-blocking, blocking, deadline-bounded), failure detection,
+// incarnation epochs, transport counters and timeline notes. Three backends
+// implement it:
+//
+//   - *cluster.Proc — the deterministic simulated cluster (virtual time)
+//   - realtime      — goroutines and channels (wall clock, one process)
+//   - distnet       — OS processes over TCP sockets (wall clock, many
+//     processes)
+//
+// Each backend carries a compile-time assertion against this interface so
+// the contract cannot drift silently. SharedSender is the one optional
+// extension.
+//
+// A transport may coalesce several sent messages into one physical frame
+// (distnet batches per-iteration sends to the same peer) and may delay a
+// message briefly while waiting for company, provided per-(src, dst)
+// delivery order is preserved and a message is never held once the
+// receiver is blocked in Recv/RecvDeadline. Senders and receivers observe
+// ordinary message semantics either way; batching is invisible above the
+// Transport contract.
 type Transport interface {
+	// ID returns the processor index (0-based).
 	ID() int
+	// P returns the number of processors in the run.
 	P() int
+	// Now returns the substrate's clock in seconds (virtual or wall).
 	Now() float64
+	// Compute charges ops operations of work to the clock under phase ph.
+	// Wall-clock substrates make this a no-op: the work already happened
+	// inside the app.
 	Compute(ops float64, ph cluster.Phase)
+	// Send transmits data to processor dst, copying the payload so the
+	// caller may reuse its buffer immediately.
 	Send(dst, tag, iter int, data []float64)
+	// TryRecv returns a queued message matching (src, tag) without
+	// blocking; use cluster.Any for either field to match anything.
 	TryRecv(src, tag int) (cluster.Message, bool)
+	// Recv blocks until a message matching (src, tag) arrives.
 	Recv(src, tag int) cluster.Message
+	// RecvDeadline blocks until a matching message arrives or timeout
+	// seconds elapse; ok=false means the deadline expired. Graceful
+	// degradation (Config.Deadline) and the rejoin patience loop run on it.
+	RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool)
+	// PhaseTime returns the accumulated clock time spent in ph.
 	PhaseTime(ph cluster.Phase) float64
+	// PeerDown reports whether peer is currently inside a crash window. The
+	// simulated cluster is a perfect failure detector; distnet reports
+	// heartbeat staleness, a suspicion rather than a proof. The engine
+	// consults it only with crash recovery on (Config.CheckpointEvery > 0).
+	PeerDown(peer int) bool
+	// Epoch returns the processor's incarnation epoch (bumped on every
+	// restart); it brands checkpoints.
+	Epoch() int
+	// NetStats returns transport-level counters (messages, bytes,
+	// retransmissions, duplicate suppressions); the engine copies them into
+	// Stats.Net at the end of a run.
+	NetStats() cluster.NetStats
+	// Note records a point event (overrun, reconcile) on the substrate's
+	// timeline. The simulated cluster forwards notes to its OnEvent hook.
+	Note(kind string)
 }
 
 var _ Transport = (*cluster.Proc)(nil)
 
-// Any full cluster.Transport satisfies the engine's contract with every
-// optional capability (zero-copy sends, deadline receives) enabled.
-var _ interface {
-	Transport
-	DeadlineReceiver
-	SharedSender
-} = (cluster.Transport)(nil)
-
-// DeadlineReceiver is an optional Transport extension providing a receive
-// bounded by a timeout (in the transport's time unit). ok=false means the
-// deadline elapsed with no matching message. The engine requires it for
-// graceful degradation (Config.Deadline); transports without it fall back
-// to blocking receives.
-type DeadlineReceiver interface {
-	RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool)
-}
-
-var _ DeadlineReceiver = (*cluster.Proc)(nil)
-
 // SharedSender is an optional Transport extension for zero-copy sends: the
 // transport references the payload directly instead of copying it, under
 // the caller's guarantee that the slice is never mutated afterwards. The
-// engine uses it to share one immutable payload per broadcast across all
-// peers (and its own rejoin log) instead of copying once per destination.
+// engine then clones each broadcast once and shares that copy across all
+// peers and its own rejoin log, instead of copying once per destination.
+//
+// Every backend implements it. It stays optional because the shared path
+// costs the engine one clone per broadcast, while on the copy path any copy
+// is the transport's: the zero-allocation gates run without it.
 type SharedSender interface {
 	SendShared(dst, tag, iter int, data []float64)
 }
 
 var _ SharedSender = (*cluster.Proc)(nil)
-
-// Noter is an optional Transport extension for point-event timeline marks
-// (overruns, reconciliations). The simulated cluster forwards notes to its
-// OnEvent hook.
-type Noter interface {
-	Note(kind string)
-}
-
-// NetStatser is an optional Transport extension exposing transport-level
-// counters (retransmissions, duplicate suppressions); the engine copies
-// them into Stats.Net at the end of a run.
-type NetStatser interface {
-	NetStats() cluster.NetStats
-}
 
 // Config parameterizes an engine run.
 type Config struct {
@@ -132,7 +149,6 @@ type Config struct {
 	// seconds and instead lets speculation extend past the forward window,
 	// reconciling (check + repair + cascade) when the real message finally
 	// lands. Zero keeps the classical behaviour of blocking indefinitely.
-	// Requires a DeadlineReceiver transport to take effect.
 	Deadline float64
 	// MaxOverrun bounds how many iterations past the forward window the
 	// engine may run on unreconciled speculation before it blocks hard on
@@ -146,15 +162,6 @@ type Config struct {
 	// Neighbors, then the complete graph — the classical engine. Every
 	// processor of a run must use an identical graph.
 	Graph *DepGraph
-
-	// Spec, Check and Repair replace the engine's default policy set (see
-	// policy.go). Nil fields get the defaults, which reproduce the paper's
-	// behaviour: predict via Speculator/Predictor, judge via App.Check, and
-	// repair via Corrector or full recompute with cascades. Every processor
-	// of a run must use behaviourally identical policies.
-	Spec   SpecPolicy
-	Check  CheckPolicy
-	Repair RepairPolicy
 
 	// Metrics, when non-nil, receives the engine's counters, gauges and
 	// histograms (per-processor labels). Nil — the default — keeps the
@@ -195,7 +202,7 @@ type Config struct {
 	// a rejoin/refill request for a missing message — the recovery path for
 	// data lost to a crash or abandoned by the reliable layer after
 	// MaxRetries. Defaults to 4×Deadline, or 1 when Deadline is 0. Active
-	// only when CheckpointEvery > 0 on a DeadlineReceiver transport.
+	// only when CheckpointEvery > 0.
 	RejoinRetry float64
 }
 
@@ -225,8 +232,8 @@ type Stats struct {
 	OverrunTime float64 // compute performed past the forward window (degraded mode)
 	TotalTime   float64
 
-	// Net holds transport-level counters (retransmissions, duplicate
-	// suppressions) when the transport exposes them; zero otherwise.
+	// Net holds the transport's counters (Transport.NetStats) at the end
+	// of the run.
 	Net cluster.NetStats
 }
 
@@ -259,27 +266,21 @@ type Result struct {
 }
 
 // engine is the per-processor iteration state machine. Payload storage
-// lives in the value plane; speculation, checking and repair decisions live
-// in the policies.
+// lives in the value plane.
 type engine struct {
 	p   Transport
 	app App
 	cfg Config
 
-	specPol   SpecPolicy
-	checkPol  CheckPolicy
-	repairPol RepairPolicy
-
-	pub     Publisher        // nil unless app implements it
-	stopper Stopper          // nil unless app implements it
-	dr      DeadlineReceiver // nil unless the transport implements it
-	noter   Noter            // nil unless the transport implements it
-	shared  SharedSender     // nil unless the transport implements it
-
-	// edgeSpec / edgeCheck are the edge-aware faces of the resolved
-	// policies, non-nil only when the policy opts in (see policy.go).
-	edgeSpec  EdgeSpecPolicy
-	edgeCheck EdgeCheckPolicy
+	pub     Publisher    // nil unless app implements it
+	stopper Stopper      // nil unless app implements it
+	spec    Speculator   // nil unless app implements it
+	corr    Corrector    // nil unless app implements it
+	shared  SharedSender // nil unless the transport implements it
+	// inp is Config.Predictor's in-place face, set only when the app has no
+	// Speculator: predictions then come from (and return to) the plane's
+	// buffer pool, so steady-state speculation allocates nothing.
+	inp predict.InPlace
 
 	// Dependency structure, resolved once at startup (graph.go): inRanks is
 	// the sorted list of ranks this processor reads; needsM/neededByM are the
@@ -307,8 +308,6 @@ type engine struct {
 	// Crash-recovery state (recover.go); all zero/nil when CheckpointEvery
 	// is unset.
 	store checkpoint.Store
-	fd    FailureDetector // nil unless the transport implements it
-	ep    Epocher         // nil unless the transport implements it
 	// sentLog retains recent own broadcast payloads (immutable copies) to
 	// serve rejoin/refill requests from peers that lost them to a crash.
 	sentLog *history.Ring[histEntry]
@@ -410,42 +409,16 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	if st, ok := app.(Stopper); ok {
 		e.stopper = st
 	}
-	if d, ok := p.(DeadlineReceiver); ok {
-		e.dr = d
-	}
-	if n, ok := p.(Noter); ok {
-		e.noter = n
-	}
 	if sh, ok := p.(SharedSender); ok {
 		e.shared = sh
 	}
-	e.specPol = cfg.Spec
-	if e.specPol == nil {
-		ds := &defaultSpec{pred: cfg.Predictor, pool: e.plane.pool}
-		if s, ok := app.(Speculator); ok {
-			ds.app = s
-		} else if ip, ok := cfg.Predictor.(predict.InPlace); ok {
-			ds.inp = ip
-		}
-		e.specPol = ds
+	if s, ok := app.(Speculator); ok {
+		e.spec = s
+	} else if ip, ok := cfg.Predictor.(predict.InPlace); ok {
+		e.inp = ip
 	}
-	e.checkPol = cfg.Check
-	if e.checkPol == nil {
-		e.checkPol = defaultCheck{app: app}
-	}
-	e.repairPol = cfg.Repair
-	if e.repairPol == nil {
-		dr := &defaultRepair{app: app, maxOverrun: cfg.MaxOverrun, maxCrashOverrun: cfg.MaxCrashOverrun}
-		if co, ok := app.(Corrector); ok {
-			dr.corr = co
-		}
-		e.repairPol = dr
-	}
-	if es, ok := e.specPol.(EdgeSpecPolicy); ok {
-		e.edgeSpec = es
-	}
-	if ec, ok := e.checkPol.(EdgeCheckPolicy); ok {
-		e.edgeCheck = ec
+	if co, ok := app.(Corrector); ok {
+		e.corr = co
 	}
 	e.ob = newEngineObs(cfg.Metrics, cfg.Journal, p.ID())
 	if e.ob != nil {
@@ -456,12 +429,6 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 		e.sentLog = history.NewRing[histEntry](cfg.RejoinLog)
 		e.noActualBefore = make([]int, p.P())
 		e.postCrashLeft = make([]int, p.P())
-		if fd, ok := p.(FailureDetector); ok {
-			e.fd = fd
-		}
-		if ep, ok := p.(Epocher); ok {
-			e.ep = ep
-		}
 		if err := e.maybeRestore(); err != nil {
 			return Result{}, err
 		}
@@ -478,9 +445,7 @@ func Run(p Transport, app App, cfg Config) (Result, error) {
 	e.stats.CorrectTime = p.PhaseTime(cluster.PhaseCorrect)
 	e.stats.OverrunTime = p.PhaseTime(cluster.PhaseOverrun)
 	e.stats.TotalTime = p.Now()
-	if ns, ok := p.(NetStatser); ok {
-		e.stats.Net = ns.NetStats()
-	}
+	e.stats.Net = p.NetStats()
 	final := e.plane.ownAt(cfg.MaxIter)
 	if e.stopped {
 		final = e.plane.ownAt(e.stopIter + 1)
@@ -552,10 +517,22 @@ func (e *engine) run() {
 }
 
 // overrunBudget is how far validation may lag past the forward window
-// before the engine blocks hard on the overdue peer.
+// before the engine blocks hard on the overdue peer: MaxOverrun, stretched
+// by MaxCrashOverrun while a needed peer is down.
 func (e *engine) overrunBudget() int {
-	peerDown := e.fd != nil && e.cfg.MaxCrashOverrun > 0 && e.anyNeededPeerDown()
-	return e.repairPol.OverrunBudget(peerDown)
+	b := e.cfg.MaxOverrun
+	if e.cfg.MaxCrashOverrun > 0 && e.anyNeededPeerDown() {
+		b += e.cfg.MaxCrashOverrun
+	}
+	return b
+}
+
+// peerDown reports whether the transport's failure detector sees peer k
+// inside a crash window. It is consulted only with crash recovery on: on
+// distnet it reads heartbeat staleness, which must not steer a run that
+// has no checkpoints to recover with.
+func (e *engine) peerDown(k int) bool {
+	return e.cfg.CheckpointEvery > 0 && e.p.PeerDown(k)
 }
 
 // lookback bounds how far back stashed actuals stay useful: the speculation
@@ -565,10 +542,10 @@ func (e *engine) lookback() int {
 }
 
 // degrading reports whether deadline-based graceful degradation is active.
-// It needs speculation (FW >= 1) and a transport that can time out a
-// receive; HoldSends keeps its strict validate-before-send semantics.
+// It needs speculation (FW >= 1); HoldSends keeps its strict
+// validate-before-send semantics.
 func (e *engine) degrading() bool {
-	return e.cfg.Deadline > 0 && e.cfg.FW >= 1 && !e.cfg.HoldSends && e.dr != nil
+	return e.cfg.Deadline > 0 && e.cfg.FW >= 1 && !e.cfg.HoldSends
 }
 
 // broadcast sends the local partition (or its published projection) for
@@ -592,15 +569,20 @@ func (e *engine) broadcast(t int) {
 		e.sentLog.Push(histEntry{iter: t, data: logged})
 	}
 	for k := 0; k < e.p.P(); k++ {
-		if k == e.p.ID() || !e.neededBy(k) {
-			continue
-		}
-		if e.shared != nil {
-			e.shared.SendShared(k, DataTag, t, payload)
-		} else {
-			e.p.Send(k, DataTag, t, payload)
+		if k != e.p.ID() && e.neededBy(k) {
+			e.sendData(k, t, payload)
 		}
 	}
+}
+
+// sendData sends a data payload to dst. A SharedSender transport aliases
+// it, so on that path the payload must be an immutable engine-owned copy.
+func (e *engine) sendData(dst, iter int, data []float64) {
+	if e.shared != nil {
+		e.shared.SendShared(dst, DataTag, iter, data)
+		return
+	}
+	e.p.Send(dst, DataTag, iter, data)
 }
 
 // needs reports whether this processor reads peer k's payload — k is the
@@ -642,10 +624,10 @@ func (e *engine) actual(k, t int) []float64 {
 		if e.noActualBefore != nil && t < e.noActualBefore[k] {
 			return nil
 		}
-		if e.cfg.CheckpointEvery > 0 && e.dr != nil {
-			if m, ok := e.dr.RecvDeadline(cluster.Any, cluster.Any, e.cfg.RejoinRetry); ok {
+		if e.cfg.CheckpointEvery > 0 {
+			if m, ok := e.p.RecvDeadline(cluster.Any, cluster.Any, e.cfg.RejoinRetry); ok {
 				e.intake(m)
-			} else if e.fd == nil || !e.fd.PeerDown(k) {
+			} else if !e.peerDown(k) {
 				// Patience expired with the peer alive: the message is
 				// presumed lost, not late. Ask for a refill.
 				e.sendRejoin(k, t-1)
@@ -693,8 +675,11 @@ func (e *engine) assembleView(t int) [][]float64 {
 }
 
 // speculate predicts peer k's iteration-t snapshot from the newest actual
-// snapshots on hand. Returns nil if no history exists yet or the policy
-// declines.
+// snapshots on hand — the paper's speculation function (§3.1): the app's
+// Speculator when it has one, otherwise Config.Predictor, in place through
+// a pooled buffer when the predictor supports it. Returns nil if no
+// history exists yet or the Speculator declines (the caller then blocks for
+// the actual message; the speculation cost is still charged).
 func (e *engine) speculate(k, t int) []float64 {
 	hist, base := e.plane.collectHist(k, t, e.lookback(), e.cfg.BW)
 	if base == -1 {
@@ -708,13 +693,34 @@ func (e *engine) speculate(k, t int) []float64 {
 		pred []float64
 		ops  float64
 	)
-	if e.edgeSpec != nil {
-		pred, ops = e.edgeSpec.SpeculateEdge(Edge{From: k, To: e.p.ID()}, hist, steps)
+	if e.spec != nil {
+		pred, ops = e.spec.Speculate(k, hist, steps)
 	} else {
-		pred, ops = e.specPol.Speculate(k, hist, steps)
+		if e.inp != nil {
+			dst := e.plane.pool.get(len(hist[0]))
+			pred = e.inp.PredictInto(dst, hist, steps)
+			if !sameSlice(pred, dst) {
+				e.plane.pool.put(dst)
+			}
+		} else {
+			pred = e.cfg.Predictor.Predict(hist, steps)
+		}
+		ops = e.cfg.Predictor.Ops() * float64(len(pred)) * float64(steps)
 	}
 	e.p.Compute(ops, cluster.PhaseSpec)
 	return pred
+}
+
+// recycle hands a retired prediction back to the plane's pool when it was
+// drawn from there.
+func (e *engine) recycle(pred []float64) {
+	if e.inp != nil {
+		e.plane.pool.put(pred)
+	}
+}
+
+func sameSlice(a, b []float64) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // validateThrough blocks until every iteration up to and including t has all
@@ -738,7 +744,7 @@ func (e *engine) tryValidateThrough(t int) bool {
 			if !e.overrun[s] {
 				e.overrun[s] = true
 				e.stats.Overruns++
-				e.note("overrun")
+				e.p.Note("overrun")
 				e.ob.overrun(s)
 			}
 			return false
@@ -755,7 +761,7 @@ func (e *engine) finishIter(s int) {
 	if e.overrun[s] {
 		delete(e.overrun, s)
 		e.stats.Reconciles++
-		e.note("reconcile")
+		e.p.Note("reconcile")
 		e.ob.reconciled(s)
 	}
 	e.checkConverged(s)
@@ -778,7 +784,7 @@ func (e *engine) collectActuals(s int) bool {
 		if e.noActualBefore != nil && s < e.noActualBefore[k] {
 			continue // catch-up gap: nothing will ever arrive
 		}
-		if e.fd != nil && e.fd.PeerDown(k) {
+		if e.peerDown(k) {
 			return false // dead peer: overrun without burning the deadline
 		}
 		if !e.waitActual(k, s, e.cfg.Deadline) {
@@ -800,19 +806,12 @@ func (e *engine) waitActual(k, t int, timeout float64) bool {
 		if remaining <= 0 {
 			return false
 		}
-		m, ok := e.dr.RecvDeadline(cluster.Any, cluster.Any, remaining)
+		m, ok := e.p.RecvDeadline(cluster.Any, cluster.Any, remaining)
 		if !ok {
 			_, have := e.plane.actualOf(k, t)
 			return have
 		}
 		e.intake(m)
-	}
-}
-
-// note records a point event if the transport supports it.
-func (e *engine) note(kind string) {
-	if e.noter != nil {
-		e.noter.Note(kind)
 	}
 }
 
@@ -856,8 +855,9 @@ func (e *engine) checkConverged(s int) {
 }
 
 // validateIter checks every prediction used at iteration t against the
-// actual messages; on any failure it asks the RepairPolicy to fix
-// X_j(t+1) and cascades recomputation through the speculated frontier.
+// actual messages (App.Check, the paper's error > threshold test); on any
+// failure it repairs X_j(t+1) and cascades recomputation through the
+// speculated frontier.
 func (e *engine) validateIter(t int) {
 	preds := e.plane.predsAt(t)
 	view := e.plane.viewAt(t)
@@ -880,12 +880,7 @@ func (e *engine) validateIter(t int) {
 			// is accepted unverified and contributes no history entry.
 			continue
 		}
-		var res CheckResult
-		if e.edgeCheck != nil {
-			res = e.edgeCheck.CheckEdge(Edge{From: k, To: e.p.ID()}, preds[k], act, e.plane.ownAt(t), t)
-		} else {
-			res = e.checkPol.Check(k, preds[k], act, e.plane.ownAt(t), t)
-		}
+		res := e.app.Check(k, preds[k], act, e.plane.ownAt(t), t)
 		if res.Ops > 0 {
 			e.p.Compute(res.Ops, cluster.PhaseCheck)
 		}
@@ -918,32 +913,34 @@ func (e *engine) validateIter(t int) {
 	if !dirty {
 		return
 	}
-	// Repair, charging the policy-reported cost (the paper's k·N_i·f_comp
-	// or a cheaper incremental correction).
+	// Repair (eq. 11), charging the app-reported cost (the paper's
+	// k·N_i·f_comp or a cheaper incremental correction): fold the app's
+	// Corrector over every failed peer, or recompute from the patched view.
 	e.stats.Repairs++
 	e.ob.repaired(t, e.frontier-t)
-	fixed, ops := e.repairPol.Repair(RepairContext{
-		Iter:     t,
-		Node:     e.p.ID(),
-		View:     view,
-		Computed: e.plane.ownAt(t + 1),
-		Local:    e.plane.ownAt(t),
-		Preds:    preds,
-		BadPeers: badPeers,
-		Worst:    worst,
-	})
+	ops := e.app.RepairOps(worst)
+	var fixed []float64
+	if e.corr != nil {
+		fixed = e.plane.ownAt(t + 1)
+		local := e.plane.ownAt(t)
+		for _, k := range badPeers {
+			fixed = e.corr.Correct(fixed, local, k, preds[k], view[k], t)
+		}
+	} else {
+		fixed = e.app.Compute(view, t)
+	}
 	e.plane.setOwn(t+1, fixed)
 	e.p.Compute(ops, cluster.PhaseCorrect)
 	// Cascade: any later iterations already computed used the stale
 	// X_j(t+1). Their values are recomputed exactly, but the clock charge is
-	// the policy's incremental repair cost — the affected work is the part
+	// the app's incremental repair cost — the affected work is the part
 	// touched by the corrected inputs, the same accounting the paper's
 	// k·N_i·f_comp term models (a full-recompute app simply returns
 	// ComputeOps from RepairOps).
 	for s := t + 1; s <= e.frontier; s++ {
 		row := e.plane.viewAt(s)
 		row[e.p.ID()] = e.plane.ownAt(s)
-		redo, cops := e.repairPol.Cascade(CascadeContext{Iter: s, Node: e.p.ID(), View: row, Worst: worst})
+		redo, cops := e.app.Compute(row, s), e.app.RepairOps(worst)
 		e.plane.setOwn(s+1, redo)
 		e.p.Compute(cops, cluster.PhaseCorrect)
 		e.stats.CascadeRedos++
@@ -966,7 +963,7 @@ func (e *engine) actualIntoHistory(k, t int) {
 // recycling buffers back into the plane's pools.
 func (e *engine) retire(t int) {
 	e.plane.advanceFloors(e.validated, e.lookback())
-	e.plane.dropPreds(t, e.specPol.Recycle)
+	e.plane.dropPreds(t, e.recycle)
 	if t <= e.frontier {
 		// views[t] may still be needed by a cascade from an earlier repair
 		// only while t is unvalidated; once validated it is safe to drop.

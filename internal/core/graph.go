@@ -11,8 +11,8 @@ package core
 // the degenerate case every pre-DAG app runs through unchanged.
 //
 // The graph is static for the lifetime of a run and must be identical on
-// every processor (it is part of the run's configuration, like FW and the
-// policies). Resolution order when the engine starts: Config.Graph if set,
+// every processor (it is part of the run's configuration, like FW).
+// Resolution order when the engine starts: Config.Graph if set,
 // else the App's Grapher extension, else the Neighbors extension, else the
 // complete graph.
 
@@ -22,8 +22,7 @@ import (
 )
 
 // Edge is one directed dependency: processor To reads processor From's
-// iteration payloads. Policies that differentiate behaviour per dependency
-// (EdgeSpecPolicy, EdgeCheckPolicy) receive the edge they act on.
+// iteration payloads.
 type Edge struct {
 	From int
 	To   int

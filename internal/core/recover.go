@@ -18,24 +18,6 @@ import (
 	"specomp/internal/cluster"
 )
 
-// FailureDetector is an optional Transport extension reporting whether a
-// peer is currently inside a crash window. The simulated cluster implements
-// it as a perfect failure detector; real deployments would back it with
-// heartbeats and accept false positives.
-type FailureDetector interface {
-	PeerDown(peer int) bool
-}
-
-var _ FailureDetector = (*cluster.Proc)(nil)
-
-// Epocher is an optional Transport extension exposing the processor's
-// incarnation epoch (bumped on every restart); it brands checkpoints.
-type Epocher interface {
-	Epoch() int
-}
-
-var _ Epocher = (*cluster.Proc)(nil)
-
 // postCrashWindow is how many validations of a rejoined peer's predictions
 // feed the post-crash prediction-error decay histogram.
 const postCrashWindow = 32
@@ -59,17 +41,6 @@ func (e *engine) intake(m cluster.Message) {
 // sendRejoin asks peer k to re-send every broadcast above iteration have.
 func (e *engine) sendRejoin(k, have int) {
 	e.p.Send(k, RejoinTag, have, nil)
-}
-
-// sendData re-sends a logged broadcast payload. Logged payloads are
-// immutable engine-owned copies, so a SharedSender transport may alias them
-// instead of copying.
-func (e *engine) sendData(dst, iter int, data []float64) {
-	if e.shared != nil {
-		e.shared.SendShared(dst, DataTag, iter, data)
-		return
-	}
-	e.p.Send(dst, DataTag, iter, data)
 }
 
 // handleRejoin serves a peer's rejoin/refill request: re-send every logged
@@ -125,7 +96,7 @@ func (e *engine) anyNeededPeerDown() bool {
 		if k == e.p.ID() || !e.needs(k) {
 			continue
 		}
-		if e.fd.PeerDown(k) {
+		if e.peerDown(k) {
 			return true
 		}
 	}
@@ -195,13 +166,9 @@ func (e *engine) takeCheckpoint() {
 // iteration) order the checkpoint encoding requires, reading it out of the
 // value plane.
 func (e *engine) buildSnapshot() *checkpoint.Snapshot {
-	epoch := 0
-	if e.ep != nil {
-		epoch = e.ep.Epoch()
-	}
 	s := &checkpoint.Snapshot{
 		Proc:      e.p.ID(),
-		Epoch:     epoch,
+		Epoch:     e.p.Epoch(),
 		Validated: e.validated,
 		Frontier:  e.frontier,
 		Own:       e.plane.ownEntries(e.validated, e.frontier),

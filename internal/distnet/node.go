@@ -1,7 +1,7 @@
 package distnet
 
 // The node runtime: one OS process per processor, driving the unchanged
-// internal/core engine through the cluster.Transport contract over real TCP
+// internal/core engine through the core.Transport contract over real TCP
 // links. RunNode is the whole lifecycle — join the coordinator, build the
 // peer mesh, pass the start barrier, run the engine, report the result,
 // tear down on the coordinator's shutdown.
@@ -107,7 +107,7 @@ type NodeResult struct {
 	Wall time.Duration
 }
 
-// transport drives cluster.Transport over the peer mesh. The engine calls
+// transport drives core.Transport over the peer mesh. The engine calls
 // it from a single goroutine; per-peer reader and writer goroutines feed
 // and drain the sockets.
 type transport struct {
@@ -175,7 +175,10 @@ type transport struct {
 	traceWire bool
 }
 
-var _ cluster.Transport = (*transport)(nil)
+var _ interface {
+	core.Transport
+	core.SharedSender
+} = (*transport)(nil)
 
 // peer returns the current link to rank j (nil at own index).
 func (t *transport) peer(j int) *peerConn { return t.peers[j].Load() }
@@ -356,17 +359,13 @@ func (t *transport) holdBack(pc *peerConn, f Frame, delaySec float64) {
 
 func (t *transport) takePending(src, tag int) (cluster.Message, bool) {
 	for i, m := range t.pending {
-		if matches(m, src, tag) {
+		if m.Matches(src, tag) {
 			t.pending = append(t.pending[:i], t.pending[i+1:]...)
 			t.msgsRecvd++
 			return m, true
 		}
 	}
 	return cluster.Message{}, false
-}
-
-func matches(m cluster.Message, src, tag int) bool {
-	return (src == cluster.Any || m.Src == src) && (tag == cluster.Any || m.Tag == tag)
 }
 
 // popped stamps a message just pulled off the inbox and records its
@@ -396,7 +395,7 @@ func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
 		select {
 		case m := <-t.inbox:
 			t.popped(&m)
-			if matches(m, src, tag) {
+			if m.Matches(src, tag) {
 				t.msgsRecvd++
 				return m, true
 			}
@@ -417,7 +416,7 @@ func (t *transport) Recv(src, tag int) cluster.Message {
 	for {
 		m := <-t.inbox
 		t.popped(&m)
-		if matches(m, src, tag) {
+		if m.Matches(src, tag) {
 			t.msgsRecvd++
 			return m
 		}
@@ -443,7 +442,7 @@ func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message
 		case m := <-t.inbox:
 			timer.Stop()
 			t.popped(&m)
-			if matches(m, src, tag) {
+			if m.Matches(src, tag) {
 				t.msgsRecvd++
 				return m, true
 			}
@@ -461,7 +460,7 @@ func (t *transport) PhaseTime(ph cluster.Phase) float64 {
 	return 0
 }
 
-// PeerDown implements core.FailureDetector over heartbeat staleness: a peer
+// PeerDown is the failure detector over heartbeat staleness: a peer
 // whose link errored out, or that has been silent past HeartbeatTimeout, is
 // reported down — feeding the engine's crash-bridging machinery exactly as
 // the simulator's perfect detector does, with the usual real-network caveat
@@ -473,11 +472,12 @@ func (t *transport) PeerDown(peer int) bool {
 	return !t.peer(peer).alive(t.hbTimeout)
 }
 
-// Epoch implements core.Epocher: the process incarnation stamped on
-// messages and checkpoints.
+// Epoch is the process incarnation stamped on messages and checkpoints.
 func (t *transport) Epoch() int { return t.epoch }
 
-// NetStats implements core.NetStatser.
+// Note is a no-op: point events reach the run journal, not the wire.
+func (t *transport) Note(string) {}
+
 func (t *transport) NetStats() cluster.NetStats {
 	return cluster.NetStats{
 		MsgsSent:  t.msgsSent,

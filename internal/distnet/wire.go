@@ -13,7 +13,7 @@
 //   - a coordinator handling membership, rank assignment, run configuration,
 //     barriers, checkpoint custody and result collection (coord.go), and a
 //     node runtime driving the unchanged internal/core engine through the
-//     cluster.Transport contract (node.go).
+//     core.Transport contract (node.go).
 //
 // A run is one coordinator process plus P node processes (cmd/speccoord and
 // cmd/specnode); nodes may equally run in-process for tests. Observability

@@ -76,9 +76,17 @@ func (ph *stagePhantom) Now() float64                         { return 0 }
 func (ph *stagePhantom) Compute(ops float64, p cluster.Phase) {}
 func (ph *stagePhantom) Send(dst, tag, iter int, d []float64) {}
 func (ph *stagePhantom) PhaseTime(p cluster.Phase) float64    { return 0 }
+func (ph *stagePhantom) PeerDown(int) bool                    { return false }
+func (ph *stagePhantom) Epoch() int                           { return 0 }
+func (ph *stagePhantom) NetStats() cluster.NetStats           { return cluster.NetStats{} }
+func (ph *stagePhantom) Note(string)                          {}
 
 func (ph *stagePhantom) TryRecv(src, tag int) (cluster.Message, bool) {
 	return cluster.Message{}, false
+}
+
+func (ph *stagePhantom) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
+	return ph.Recv(src, tag), true
 }
 
 func (ph *stagePhantom) Recv(src, tag int) cluster.Message {

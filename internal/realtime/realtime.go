@@ -71,9 +71,8 @@ type Result struct {
 	CommBlocked time.Duration
 }
 
-// transport adapts goroutine channels to the full cluster.Transport
-// contract (and therefore to core.Transport plus all its optional
-// capability upgrades).
+// transport adapts goroutine channels to core.Transport, zero-copy sends
+// included.
 type transport struct {
 	id, p   int
 	inbox   chan cluster.Message
@@ -88,7 +87,10 @@ type transport struct {
 	timers []*time.Timer
 }
 
-var _ cluster.Transport = (*transport)(nil)
+var _ interface {
+	core.Transport
+	core.SharedSender
+} = (*transport)(nil)
 
 func (t *transport) ID() int { return t.id }
 
@@ -129,13 +131,9 @@ func (t *transport) stopTimers() {
 	t.timers = nil
 }
 
-func matches(m cluster.Message, src, tag int) bool {
-	return (src == cluster.Any || m.Src == src) && (tag == cluster.Any || m.Tag == tag)
-}
-
 func (t *transport) takePending(src, tag int) (cluster.Message, bool) {
 	for i, m := range t.pending {
-		if matches(m, src, tag) {
+		if m.Matches(src, tag) {
 			t.pending = append(t.pending[:i], t.pending[i+1:]...)
 			return m, true
 		}
@@ -151,7 +149,7 @@ func (t *transport) TryRecv(src, tag int) (cluster.Message, bool) {
 		select {
 		case m := <-t.inbox:
 			m.DeliveredAt = t.Now()
-			if matches(m, src, tag) {
+			if m.Matches(src, tag) {
 				return m, true
 			}
 			t.pending = append(t.pending, m)
@@ -170,15 +168,15 @@ func (t *transport) Recv(src, tag int) cluster.Message {
 	for {
 		m := <-t.inbox
 		m.DeliveredAt = t.Now()
-		if matches(m, src, tag) {
+		if m.Matches(src, tag) {
 			return m
 		}
 		t.pending = append(t.pending, m)
 	}
 }
 
-// RecvDeadline implements core.DeadlineReceiver over a wall-clock timeout,
-// enabling the engine's graceful-degradation mode on the realtime substrate.
+// RecvDeadline bounds the receive by a wall-clock timeout, enabling the
+// engine's graceful-degradation mode on the realtime substrate.
 func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message, bool) {
 	if m, ok := t.takePending(src, tag); ok {
 		return m, true
@@ -196,7 +194,7 @@ func (t *transport) RecvDeadline(src, tag int, timeout float64) (cluster.Message
 		case m := <-t.inbox:
 			timer.Stop()
 			m.DeliveredAt = t.Now()
-			if matches(m, src, tag) {
+			if m.Matches(src, tag) {
 				return m, true
 			}
 			t.pending = append(t.pending, m)
@@ -212,6 +210,13 @@ func (t *transport) PhaseTime(ph cluster.Phase) float64 {
 	}
 	return 0
 }
+
+// In-process goroutines never crash or restart, channels keep no
+// counters, and there is no timeline to mark.
+func (t *transport) PeerDown(int) bool          { return false }
+func (t *transport) Epoch() int                 { return 0 }
+func (t *transport) NetStats() cluster.NetStats { return cluster.NetStats{} }
+func (t *transport) Note(string)                {}
 
 // Run executes the application and returns per-processor results.
 func Run(cfg Config, factory func(pid, procs int) core.App) ([]Result, error) {
